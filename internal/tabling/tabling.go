@@ -11,6 +11,7 @@ package tabling
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"sepdl/internal/ast"
 	"sepdl/internal/budget"
@@ -103,13 +104,19 @@ func (s *solver) register(pred string, bound map[int]rel.Value) *rel.Relation {
 	return t
 }
 
-// markDirty re-queues every goal depending on table k.
+// markDirty re-queues every goal depending on table k, in goal order so
+// the solving schedule (and the round count it reports) is deterministic.
 func (s *solver) markDirty(k string) {
+	var queued []int
 	for gi := range s.deps[k] {
 		if !s.inDirty[gi] {
-			s.inDirty[gi] = true
-			s.dirty = append(s.dirty, gi)
+			queued = append(queued, gi)
 		}
+	}
+	sort.Ints(queued)
+	for _, gi := range queued {
+		s.inDirty[gi] = true
+		s.dirty = append(s.dirty, gi)
 	}
 }
 
