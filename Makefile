@@ -44,7 +44,6 @@ bench:
 	go run ./cmd/sepbench -cache-bench -json BENCH_plancache.json
 	go run ./cmd/sepbench -serve-bench -json BENCH_serve.json
 	go run ./cmd/sepbench -wal-bench -json BENCH_wal.json
-	go run ./cmd/sepbench -stream-bench -classes 3 -json BENCH_stream.json
 	go run ./cmd/sepbench -segment-bench -classes 3 -json BENCH_segments.json
 
 # serve-smoke boots a real sepdld process, answers a query and a prepared

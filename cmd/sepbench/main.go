@@ -31,27 +31,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sepbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp         = fs.String("exp", "all", "experiment id (e1..e9) or \"all\"")
-		quick       = fs.Bool("quick", false, "run reduced parameter sweeps")
-		list        = fs.Bool("list", false, "list experiments and exit")
-		format      = fs.String("format", "table", "output format: table|csv")
-		parBench    = fs.Bool("parallel-bench", false, "run the parallel-vs-sequential regression benchmark instead of the experiments")
-		cacheBench  = fs.Bool("cache-bench", false, "run the plan/closure-cache regression benchmark (cold vs warm vs batched) instead of the experiments")
-		serveBench  = fs.Bool("serve-bench", false, "run the sepdld serving-layer load benchmark (cold vs warm vs overloaded over HTTP) instead of the experiments")
-		walBench    = fs.Bool("wal-bench", false, "run the durability benchmark (in-RAM vs WAL fsync modes, plus recovery cost) instead of the experiments")
-		streamBench = fs.Bool("stream-bench", false, "run the streaming-vs-materializing executor benchmark instead of the experiments")
-		segBench    = fs.Bool("segment-bench", false, "run the beyond-RAM storage benchmark (in-RAM vs disk-cold vs disk-warm over segment files) instead of the experiments")
-		jsonPath    = fs.String("json", "", "with -parallel-bench, -cache-bench, -serve-bench, -wal-bench, -stream-bench, or -segment-bench: also write the report as JSON to this path")
-		sizes       = fs.String("sizes", "16,32,48", "with -parallel-bench, -cache-bench, or -stream-bench: comma-separated problem sizes")
-		classes     = fs.Int("classes", 4, "with -parallel-bench or -stream-bench: equivalence classes in the separable query family")
-		par         = fs.Int("parallelism", 0, "with -parallel-bench: worker count for the parallel runs (0 = GOMAXPROCS)")
-		seeds       = fs.Int("seeds", 8, "with -cache-bench or -serve-bench: distinct query constants per point")
-		size        = fs.Int("size", 400, "with -serve-bench: chain length of the served database")
-		walFacts    = fs.Int("wal-facts", 2000, "with -wal-bench: facts ingested per storage mode")
-		memtable    = fs.Int64("memtable-bytes", 8<<10, "with -segment-bench: in-RAM overlay budget that triggers flushes during ingest")
-		walCkpt     = fs.Int64("wal-ckpt-bytes", 16<<10, "with -wal-bench: checkpoint threshold for the wal-ckpt mode")
-		requests    = fs.Int("requests", 200, "with -serve-bench: requests per regime")
-		clients     = fs.Int("clients", 4, "with -serve-bench: concurrent clients in the cold and warm regimes")
+		exp        = fs.String("exp", "all", "experiment id (e1..e9) or \"all\"")
+		quick      = fs.Bool("quick", false, "run reduced parameter sweeps")
+		list       = fs.Bool("list", false, "list experiments and exit")
+		format     = fs.String("format", "table", "output format: table|csv")
+		parBench   = fs.Bool("parallel-bench", false, "run the parallel-vs-sequential regression benchmark instead of the experiments")
+		cacheBench = fs.Bool("cache-bench", false, "run the plan/closure-cache regression benchmark (cold vs warm vs batched) instead of the experiments")
+		serveBench = fs.Bool("serve-bench", false, "run the sepdld serving-layer load benchmark (cold vs warm vs overloaded over HTTP) instead of the experiments")
+		walBench   = fs.Bool("wal-bench", false, "run the durability benchmark (in-RAM vs WAL fsync modes, plus recovery cost) instead of the experiments")
+		segBench   = fs.Bool("segment-bench", false, "run the beyond-RAM storage benchmark (in-RAM vs disk-cold vs disk-warm over segment files) instead of the experiments")
+		jsonPath   = fs.String("json", "", "with -parallel-bench, -cache-bench, -serve-bench, -wal-bench, or -segment-bench: also write the report as JSON to this path")
+		sizes      = fs.String("sizes", "16,32,48", "with -parallel-bench, -cache-bench, or -segment-bench: comma-separated problem sizes")
+		classes    = fs.Int("classes", 4, "with -parallel-bench or -segment-bench: equivalence classes in the separable query family")
+		par        = fs.Int("parallelism", 0, "with -parallel-bench: worker count for the parallel runs (0 = GOMAXPROCS)")
+		seeds      = fs.Int("seeds", 8, "with -cache-bench or -serve-bench: distinct query constants per point")
+		size       = fs.Int("size", 400, "with -serve-bench: chain length of the served database")
+		walFacts   = fs.Int("wal-facts", 2000, "with -wal-bench: facts ingested per storage mode")
+		memtable   = fs.Int64("memtable-bytes", 8<<10, "with -segment-bench: in-RAM overlay budget that triggers flushes during ingest")
+		walCkpt    = fs.Int64("wal-ckpt-bytes", 16<<10, "with -wal-bench: checkpoint threshold for the wal-ckpt mode")
+		requests   = fs.Int("requests", 200, "with -serve-bench: requests per regime")
+		clients    = fs.Int("clients", 4, "with -serve-bench: concurrent clients in the cold and warm regimes")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -59,13 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *parBench {
 		return runParallelBench(*sizes, *classes, *par, *jsonPath, stdout, stderr)
-	}
-	if *streamBench {
-		streamSizes := *sizes
-		if streamSizes == "16,32,48" {
-			streamSizes = "64,96,128"
-		}
-		return runStreamBench(streamSizes, *classes, *jsonPath, stdout, stderr)
 	}
 	if *segBench {
 		segSizes := *sizes
@@ -311,47 +303,6 @@ func runParallelBench(sizeList string, classes, parallelism int, jsonPath string
 		fmt.Fprintf(stdout, "wrote %s\n", jsonPath)
 	}
 	if failed {
-		return 1
-	}
-	return 0
-}
-
-// runStreamBench runs the streaming-vs-materializing harness and renders
-// a table (plus optional JSON artifact, the BENCH_stream.json that make
-// bench commits to the repository root). Exit status 1 means the two
-// modes disagreed on an answer — a correctness failure.
-func runStreamBench(sizeList string, classes int, jsonPath string, stdout, stderr io.Writer) int {
-	sizes, ok := parseSizes(sizeList, stderr)
-	if !ok {
-		return 2
-	}
-	rep := bench.RunStream(sizes, classes)
-	fmt.Fprintf(stdout, "stream benchmark: GOMAXPROCS=%d cpus=%d (warm ns, best of %d)\n",
-		rep.GOMAXPROCS, rep.NumCPU, 3)
-	fmt.Fprintf(stdout, "%-10s %6s %9s %12s %12s %8s %12s %12s %10s\n",
-		"family", "n", "answers", "mat", "stream", "speedup", "mat-peakB", "stream-peakB", "peak-red")
-	for _, p := range rep.Points {
-		if p.Err != "" {
-			fmt.Fprintf(stdout, "%-10s %6d  ERROR: %s\n", p.Family, p.Size, p.Err)
-			continue
-		}
-		fmt.Fprintf(stdout, "%-10s %6d %9d %12d %12d %7.2fx %12d %12d %9.0f%%\n",
-			p.Family, p.Size, p.Answers, p.MatWarmNs, p.StreamWarmNs, p.Speedup,
-			p.MatPeakBytes, p.StreamPeakBytes, 100*p.PeakBytesReduction)
-	}
-	if jsonPath != "" {
-		out, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintf(stderr, "sepbench: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(jsonPath, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "sepbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", jsonPath)
-	}
-	if rep.Failed() {
 		return 1
 	}
 	return 0

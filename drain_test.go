@@ -150,3 +150,42 @@ func TestEngineStatsCounters(t *testing.T) {
 		t.Fatalf("InFlight = %d", st.InFlight)
 	}
 }
+
+// TestEngineStatsBatchAccounting pins which calls count as batches: every
+// evaluation bumps Queries once, but only QueryBatch and RunBatch bump
+// Batches and BatchQueries — a single Query, QueryCtx, or Prepared.Run is
+// not a batch, and a batch of one still is.
+func TestEngineStatsBatchAccounting(t *testing.T) {
+	e := chainEngineOpts(t, 5)
+	ctx := t.Context()
+	p, err := e.Prepare(`buys(a00, Y)?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name                           string
+		call                           func() error
+		queries, batches, batchQueries uint64
+	}{
+		{"Query", func() error { _, err := e.Query(`buys(a00, Y)?`); return err }, 1, 0, 0},
+		{"QueryCtx", func() error { _, err := e.QueryCtx(ctx, `buys(a01, Y)?`); return err }, 2, 0, 0},
+		{"Run", func() error { _, err := p.Run(ctx, "a02"); return err }, 3, 0, 0},
+		{"QueryBatch", func() error {
+			_, err := e.QueryBatch(ctx, []string{`buys(a00, Y)?`, `buys(a01, Y)?`, `buys(a02, Y)?`})
+			return err
+		}, 4, 1, 3},
+		{"RunBatch", func() error { _, err := p.RunBatch(ctx, []string{"a00"}, []string{"a03"}); return err }, 5, 2, 5},
+		{"RunBatch of one", func() error { _, err := p.RunBatch(ctx, []string{"a04"}); return err }, 6, 3, 6},
+		{"EDB Query", func() error { _, err := e.Query(`friend(a00, Y)?`); return err }, 7, 3, 6},
+	}
+	for _, s := range steps {
+		if err := s.call(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		st := e.Stats()
+		if st.Queries != s.queries || st.Batches != s.batches || st.BatchQueries != s.batchQueries {
+			t.Fatalf("after %s: Queries/Batches/BatchQueries = %d/%d/%d, want %d/%d/%d",
+				s.name, st.Queries, st.Batches, st.BatchQueries, s.queries, s.batches, s.batchQueries)
+		}
+	}
+}

@@ -633,7 +633,6 @@ type queryConfig struct {
 	fallback          bool
 	parallelism       int // resolved worker count (par.Degree applied)
 	parThreshold      int
-	materializeRounds bool                // ablation: pre-streaming round pipeline
 	closures          *plancache.Closures // engine's closure cache (nil when disabled)
 	scope             plancache.Scope     // revisions of the attempt's snapshot
 }
@@ -683,17 +682,6 @@ func WithBudget(b Budget) QueryOption {
 // context.DeadlineExceeded.
 func WithDeadline(d time.Duration) QueryOption {
 	return func(c *queryConfig) { c.deadline = d }
-}
-
-// withMaterializedRounds restores the pre-streaming evaluation pipeline
-// for one query: every fixpoint round and carry loop materializes its
-// full emission set and computes the delta by differencing afterwards,
-// instead of streaming emissions through the round sinks. Answers are
-// byte-identical either way; the equivalence suite and sepbench
-// -stream-bench use it to measure and verify what streaming buys. Not
-// exported: it is an ablation, not a tuning knob.
-func withMaterializedRounds() QueryOption {
-	return func(c *queryConfig) { c.materializeRounds = true }
 }
 
 // WithFallback opts the query into graceful degradation: if the selected
@@ -749,9 +737,9 @@ type Stats struct {
 	BatchSize int
 	// PeakIntermediateBytes is the largest transient materialization any
 	// single fixpoint round or carry-loop step held outside the growing
-	// totals — under the streaming executor, just the round's delta. It is
-	// not part of RelationSizes (the paper's Definition 4.2 measure counts
-	// named relations, not round scratch).
+	// totals: the round's streamed delta. It is not part of RelationSizes
+	// (the paper's Definition 4.2 measure counts named relations, not
+	// round scratch).
 	PeakIntermediateBytes int64
 	// Duration is wall-clock evaluation time.
 	Duration time.Duration
@@ -797,9 +785,9 @@ func (r *Result) String() string { return r.rel.Dump(r.db.Syms) }
 // ErrUnknownStrategy reports an unrecognized strategy name.
 var ErrUnknownStrategy = errors.New("sepdl: unknown strategy")
 
-// testHookEval, when non-nil, runs inside QueryCtx's recovery boundary
-// just before strategy dispatch; tests use it to inject failures and to
-// hold admission slots open deterministically.
+// testHookEval, when non-nil, runs inside runStrategyBatch's recovery
+// boundary just before strategy dispatch; tests use it to inject failures
+// and to hold admission slots open deterministically.
 var testHookEval func()
 
 // Query parses and evaluates a query such as "buys(tom, Y)?". It is
@@ -825,7 +813,7 @@ func (e *Engine) QueryCtx(ctx context.Context, query string, opts ...QueryOption
 	if err != nil {
 		return nil, err
 	}
-	return e.queryAtom(ctx, q, query, cfg)
+	return e.queryOne(ctx, q, query, cfg)
 }
 
 // newQueryConfig resolves QueryOptions against the engine's defaults.
@@ -837,10 +825,31 @@ func (e *Engine) newQueryConfig(opts []QueryOption) queryConfig {
 	return cfg
 }
 
-// queryAtom evaluates one already-parsed query: admission, snapshot, plan
-// lookup, strategy dispatch, fallback. Query/QueryCtx and Prepared.Run all
-// land here.
-func (e *Engine) queryAtom(ctx context.Context, q ast.Atom, query string, cfg queryConfig) (*Result, error) {
+// queryOne evaluates one parsed query as a batch of one; query is its text,
+// kept for internal-error reports. Query/QueryCtx and Prepared.Run land
+// here.
+func (e *Engine) queryOne(ctx context.Context, q ast.Atom, query string, cfg queryConfig) (*Result, error) {
+	out, err := e.queryBatch(ctx, []ast.Atom{q}, query, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// queryBatch is the one evaluation path under every query entry point:
+// one admission slot, one snapshot, one budget, one plan, strategy
+// dispatch and fallback for the whole batch. A single query is a batch of
+// one whose text is query; QueryBatch and Prepared.RunBatch pass "" and
+// are the only calls counted as batches in EngineStats.
+func (e *Engine) queryBatch(ctx context.Context, qs []ast.Atom, query string, cfg queryConfig) ([]*Result, error) {
+	if len(qs) == 0 {
+		return nil, nil
+	}
+	for _, q := range qs[1:] {
+		if q.Pred != qs[0].Pred || formMask(q) != formMask(qs[0]) {
+			return nil, fmt.Errorf("sepdl: batch mixes query forms: %s vs %s", q, qs[0])
+		}
+	}
 	if cfg.deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
@@ -853,6 +862,10 @@ func (e *Engine) queryAtom(ctx context.Context, q ast.Atom, query string, cfg qu
 	}
 	defer release()
 	e.counters.queries.Add(1)
+	if query == "" {
+		e.counters.batches.Add(1)
+		e.counters.batchQueries.Add(uint64(len(qs)))
+	}
 	e.counters.inFlight.Add(1)
 	defer e.counters.inFlight.Add(-1)
 	st, db, dbRev := e.snapshot()
@@ -864,15 +877,33 @@ func (e *Engine) queryAtom(ctx context.Context, q ast.Atom, query string, cfg qu
 	c := stats.New()
 	start := time.Now()
 
-	if !st.prog.IDBPreds()[q.Pred] {
-		// EDB query: answer directly from the base relations.
-		ans, err := eval.Answer(db, q)
-		if err != nil {
-			return nil, e.counters.evalFailed(err)
+	results := func(strategy, fellFrom Strategy, hit bool, anss []*rel.Relation, col *stats.Collector) []*Result {
+		out := make([]*Result, len(qs))
+		for i := range qs {
+			stt := Stats{Strategy: strategy, FallbackFrom: fellFrom, PlanCacheHit: hit,
+				BatchSize: len(qs), Duration: time.Since(start)}
+			out[i] = result(db, qs[i], anss[i], stt, col)
 		}
-		return e.counters.evalOK(result(db, q, ans, Stats{Strategy: cfg.strategy, BatchSize: 1, Duration: time.Since(start)}, c)), nil
+		// Every batch element reports the whole batch's work; record the
+		// shared evaluation's outcome once.
+		e.counters.evalOK(out[0])
+		return out
 	}
-	pl, hit := e.planFor(st, q, cfg)
+
+	if !st.prog.IDBPreds()[qs[0].Pred] {
+		// EDB query: answer directly from the base relations.
+		anss := make([]*rel.Relation, len(qs))
+		for i, q := range qs {
+			ans, err := eval.Answer(db, q)
+			if err != nil {
+				return nil, e.counters.evalFailed(err)
+			}
+			anss[i] = ans
+		}
+		return results(cfg.strategy, "", false, anss, c), nil
+	}
+
+	pl, hit := e.planFor(st, qs[0], cfg)
 	e.counters.planLookup(hit)
 	strategy := pl.strategy
 	bud.SetStrategy(string(strategy))
@@ -881,15 +912,15 @@ func (e *Engine) queryAtom(ctx context.Context, q ast.Atom, query string, cfg qu
 		cfg.scope = plancache.Scope{ProgRev: st.rev, DBRev: dbRev}
 	}
 
-	ans, err := runStrategy(st, db, q, query, pl, cfg, c, bud)
+	anss, err := runStrategyBatch(st, db, qs, query, pl, cfg, c, bud)
 	fellFrom := Strategy("")
 	if err != nil && cfg.fallback && fallbackEligible(strategy, err) {
 		fbBud := cfg.tracker(ctx)
 		fbBud.SetStrategy(string(SemiNaive))
 		fbCol := stats.New()
-		fbAns, fbErr := runStrategy(st, db, q, query, &plan{strategy: SemiNaive}, cfg, fbCol, fbBud)
+		fbAnss, fbErr := runStrategyBatch(st, db, qs, query, &plan{strategy: SemiNaive}, cfg, fbCol, fbBud)
 		if fbErr == nil {
-			fellFrom, strategy, ans, err, c = strategy, SemiNaive, fbAns, nil, fbCol
+			fellFrom, strategy, anss, err, c = strategy, SemiNaive, fbAnss, nil, fbCol
 		} else {
 			err = fmt.Errorf("%w (semi-naive fallback also failed: %v)", err, fbErr)
 		}
@@ -897,7 +928,7 @@ func (e *Engine) queryAtom(ctx context.Context, q ast.Atom, query string, cfg qu
 	if err != nil {
 		return nil, e.counters.evalFailed(err)
 	}
-	return e.counters.evalOK(result(db, q, ans, Stats{Strategy: strategy, FallbackFrom: fellFrom, PlanCacheHit: hit, BatchSize: 1, Duration: time.Since(start)}, c)), nil
+	return results(strategy, fellFrom, hit, anss, c), nil
 }
 
 // planFor resolves q's compiled plan against st, honoring WithPlanCache:
@@ -923,85 +954,103 @@ func fallbackEligible(s Strategy, err error) bool {
 		!errors.Is(err, context.Canceled)
 }
 
-// runStrategy dispatches one evaluation attempt against an immutable
-// program revision and database snapshot, with the last-resort panic
-// recovery every attempt needs: an internal panic must not take down the
-// caller. A budget abort that escaped a path without its own Guard still
-// surfaces as its typed error; anything else is reported with the strategy
-// and query for the bug report.
-func runStrategy(st *progState, db *database.Database, q ast.Atom, query string, pl *plan, cfg queryConfig, c *stats.Collector, bud *budget.Budget) (ans *rel.Relation, err error) {
+// runStrategyBatch dispatches one evaluation attempt for a batch of
+// same-form queries against an immutable program revision and database
+// snapshot. Strategies with a multi-seed form run one shared fixpoint;
+// Counting, HN, Aho-Ullman and Tabling loop seed-by-seed over the shared
+// snapshot and budget. It carries the last-resort panic recovery every
+// attempt needs: an internal panic must not take down the caller. A budget
+// abort that escaped a path without its own Guard still surfaces as its
+// typed error; anything else is reported with the strategy and the query
+// text (query, "" for a batch) for the bug report.
+func runStrategyBatch(st *progState, db *database.Database, qs []ast.Atom, query string, pl *plan, cfg queryConfig, c *stats.Collector, bud *budget.Budget) (anss []*rel.Relation, err error) {
 	strategy := pl.strategy
 	defer func() {
 		if r := recover(); r != nil {
-			ans = nil
+			anss = nil
 			if aerr, ok := budget.AsAbort(r); ok {
 				err = aerr
 				return
 			}
-			err = fmt.Errorf("%w evaluating %q with strategy %s: %v", ErrInternal, query, strategy, r)
+			if query != "" {
+				err = fmt.Errorf("%w evaluating %q with strategy %s: %v", ErrInternal, query, strategy, r)
+			} else {
+				err = fmt.Errorf("%w batch-evaluating %q (%d seeds) with strategy %s: %v", ErrInternal, qs[0].Pred, len(qs), strategy, r)
+			}
 		}
 	}()
 	if testHookEval != nil {
 		testHookEval()
 	}
 
+	var perSeed func(q ast.Atom) (*rel.Relation, error)
 	switch strategy {
 	case Separable:
-		ans, err = core.Answer(st.prog, db, q, core.EvalOptions{
+		return core.AnswerBatch(st.prog, db, qs, core.EvalOptions{
 			Collector:         c,
 			Analysis:          pl.analysis,
 			AllowDisconnected: cfg.allowDisconnected,
 			Budget:            bud,
 			Parallelism:       cfg.parallelism,
 			ParallelThreshold: cfg.parThreshold,
-			MaterializeRounds: cfg.materializeRounds,
 			Closures:          cfg.closures,
 			CacheScope:        cfg.scope,
 		})
 	case MagicSets, MagicSetsSup:
-		ans, err = magic.Answer(st.prog, db, q, magic.Options{
+		return magic.AnswerBatch(st.prog, db, qs, magic.Options{
 			Collector:         c,
 			MaxIterations:     cfg.maxIterations,
 			Supplementary:     strategy == MagicSetsSup,
 			Budget:            bud,
 			Parallelism:       cfg.parallelism,
 			ParallelThreshold: cfg.parThreshold,
-			MaterializeRounds: cfg.materializeRounds,
 			Template:          pl.template,
 		})
-	case Counting:
-		ans, err = counting.Answer(st.prog, db, q, counting.Options{Collector: c, Analysis: pl.analysis, MaxLevels: cfg.maxIterations, Budget: bud})
-	case HenschenNaqvi:
-		ans, err = hn.Answer(st.prog, db, q, hn.Options{Collector: c, Analysis: pl.analysis, MaxDepth: cfg.maxIterations, Budget: bud})
-	case AhoUllman:
-		ans, err = aho.Answer(st.prog, db, q, aho.Options{
-			Collector:         c,
-			MaxIterations:     cfg.maxIterations,
-			Budget:            bud,
-			Parallelism:       cfg.parallelism,
-			ParallelThreshold: cfg.parThreshold,
-			MaterializeRounds: cfg.materializeRounds,
-		})
-	case Tabling:
-		ans, err = tabling.Answer(st.prog, db, q, tabling.Options{Collector: c, Budget: bud})
 	case SemiNaive, Naive:
-		var view *database.Database
-		view, err = eval.Run(st.prog, db, eval.Options{
+		view, err := eval.Run(st.prog, db, eval.Options{
 			Collector:         c,
 			Naive:             strategy == Naive,
 			MaxIterations:     cfg.maxIterations,
 			Budget:            bud,
 			Parallelism:       cfg.parallelism,
 			ParallelThreshold: cfg.parThreshold,
-			MaterializeRounds: cfg.materializeRounds,
 		})
-		if err == nil {
-			ans, err = eval.Answer(view, q)
+		if err != nil {
+			return nil, err
+		}
+		perSeed = func(q ast.Atom) (*rel.Relation, error) { return eval.Answer(view, q) }
+	case Counting:
+		perSeed = func(q ast.Atom) (*rel.Relation, error) {
+			return counting.Answer(st.prog, db, q, counting.Options{Collector: c, Analysis: pl.analysis, MaxLevels: cfg.maxIterations, Budget: bud})
+		}
+	case HenschenNaqvi:
+		perSeed = func(q ast.Atom) (*rel.Relation, error) {
+			return hn.Answer(st.prog, db, q, hn.Options{Collector: c, Analysis: pl.analysis, MaxDepth: cfg.maxIterations, Budget: bud})
+		}
+	case AhoUllman:
+		perSeed = func(q ast.Atom) (*rel.Relation, error) {
+			return aho.Answer(st.prog, db, q, aho.Options{
+				Collector:         c,
+				MaxIterations:     cfg.maxIterations,
+				Budget:            bud,
+				Parallelism:       cfg.parallelism,
+				ParallelThreshold: cfg.parThreshold,
+			})
+		}
+	case Tabling:
+		perSeed = func(q ast.Atom) (*rel.Relation, error) {
+			return tabling.Answer(st.prog, db, q, tabling.Options{Collector: c, Budget: bud})
 		}
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownStrategy, strategy)
 	}
-	return ans, err
+	anss = make([]*rel.Relation, len(qs))
+	for i, q := range qs {
+		if anss[i], err = perSeed(q); err != nil {
+			return nil, err
+		}
+	}
+	return anss, nil
 }
 
 func result(db *database.Database, q ast.Atom, ans *rel.Relation, st Stats, c *stats.Collector) *Result {

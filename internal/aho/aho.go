@@ -70,11 +70,10 @@ type Options struct {
 	// Budget, when non-nil, governs the bottom-up evaluation of the pushed
 	// program at round and join-inner-loop granularity.
 	Budget *budget.Budget
-	// Parallelism, ParallelThreshold, and MaterializeRounds forward to the
-	// semi-naive fixpoint over the pushed program (eval.Options).
+	// Parallelism and ParallelThreshold forward to the semi-naive fixpoint
+	// over the pushed program (eval.Options).
 	Parallelism       int
 	ParallelThreshold int
-	MaterializeRounds bool
 }
 
 // Push returns a copy of prog in which the selection constants of q (which
@@ -167,7 +166,6 @@ func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts Options) 
 		Budget:            opts.Budget,
 		Parallelism:       opts.Parallelism,
 		ParallelThreshold: opts.ParallelThreshold,
-		MaterializeRounds: opts.MaterializeRounds,
 	})
 	if err != nil {
 		return nil, err

@@ -52,14 +52,6 @@ type EvalOptions struct {
 	// removes the gate (tests). Also forwarded to the support-predicate
 	// fixpoint's round gate.
 	ParallelThreshold int
-	// MaterializeRounds restores the pre-streaming carry loops as an
-	// ablation: every transition emission is allocated and materialized
-	// into the round's intermediate relation and the next carry is
-	// computed by differencing against the seen set afterwards, instead
-	// of streaming emissions through a reused row buffer that
-	// materializes unseen tuples only. The answer is identical; sepbench
-	// -stream-bench uses this to measure what streaming buys.
-	MaterializeRounds bool
 	// Closures, when non-nil, memoizes the second loop's per-start class
 	// closures across queries: those closures depend only on the program
 	// and the EDB, never on the selection constant, so repeated queries of
@@ -79,71 +71,13 @@ type EvalOptions struct {
 // defining q.Pred in prog over db, using the evaluation schema of Figure 2.
 // Partial selections are handled per Lemma 2.1 as a union of full
 // selections. The result is a relation over q's distinct variables in
-// first-occurrence order.
-func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts EvalOptions) (_ *rel.Relation, err error) {
-	defer budget.Guard(&err)
-	a := opts.Analysis
-	if a == nil {
-		var err error
-		a, err = AnalyzeOpts(prog, q.Pred, Options{AllowDisconnected: opts.AllowDisconnected})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sel, err := a.Classify(q)
+// first-occurrence order. It is AnswerBatch for a batch of one.
+func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts EvalOptions) (*rel.Relation, error) {
+	out, err := AnswerBatch(prog, db, []ast.Atom{q}, opts)
 	if err != nil {
 		return nil, err
 	}
-	if sel.Kind == SelNone {
-		return nil, ErrNoSelection
-	}
-
-	// Materialize the IDB predicates t's definition depends on (they do
-	// not depend back on t, so a single pass suffices); they then act as
-	// base relations for the schema. Rules for predicates t does not use
-	// are irrelevant to the query and skipped.
-	base, err := MaterializeSupportOpts(prog, db, q.Pred, eval.Options{
-		Collector:         opts.Collector,
-		Budget:            opts.Budget,
-		Parallelism:       opts.Parallelism,
-		ParallelThreshold: opts.ParallelThreshold,
-		MaterializeRounds: opts.MaterializeRounds,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	e := newEvaluator(a, base, q.Pred, opts)
-	sink := eval.NewAnswerSink(q, base.Syms)
-
-	switch sel.Kind {
-	case SelPers:
-		seeds := rel.New(len(sel.PersPos))
-		seeds.Insert(constsAt(q, sel.PersPos, base.Syms.Intern))
-		res, outCols, err := e.run(sel.PersPos, -1, -1, seeds, 0)
-		if err != nil {
-			return nil, err
-		}
-		e.deliver(res, 0, nil, sel.PersPos, constsAt(q, sel.PersPos, base.Syms.Intern), outCols, sink)
-
-	case SelFullClass:
-		cls := &a.Classes[sel.Driver]
-		seeds := rel.New(len(cls.Cols))
-		seeds.Insert(constsAt(q, cls.Cols, base.Syms.Intern))
-		res, outCols, err := e.run(cls.Cols, sel.Driver, sel.Driver, seeds, 0)
-		if err != nil {
-			return nil, err
-		}
-		e.deliver(res, 0, nil, cls.Cols, constsAt(q, cls.Cols, base.Syms.Intern), outCols, sink)
-
-	case SelPartial:
-		if err := e.partial(q, sel, sink); err != nil {
-			return nil, err
-		}
-	}
-
-	opts.Collector.Observe("ans", sink.Result().Len())
-	return sink.Result(), nil
+	return out[0], nil
 }
 
 // evaluator holds the pieces shared by the schema's phases.
@@ -152,7 +86,6 @@ type evaluator struct {
 	db           *database.Database
 	col          *stats.Collector
 	noDedup      bool
-	matRounds    bool
 	bud          *budget.Budget
 	par          int
 	parThreshold int
@@ -168,8 +101,7 @@ func newEvaluator(a *Analysis, base *database.Database, pred string, opts EvalOp
 	scope.Pred = pred
 	scope.Relaxed = a.AllowDisconnected
 	return &evaluator{a: a, db: base, col: opts.Collector, noDedup: opts.NoCarryDedup,
-		matRounds: opts.MaterializeRounds, bud: opts.Budget,
-		par: opts.Parallelism, parThreshold: opts.ParallelThreshold,
+		bud: opts.Budget, par: opts.Parallelism, parThreshold: opts.ParallelThreshold,
 		closures: opts.Closures, scope: scope}
 }
 
@@ -237,15 +169,8 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 			var tag rel.Tuple
 			// Streaming sink: each emission lands in the reused row buffer
 			// and only tuples absent from the frozen seen set materialize
-			// (Insert clones). The ablation reproduces the old pipeline:
-			// a fresh allocation per emission, dedup deferred to the
-			// round-boundary difference.
+			// (Insert clones).
 			sink := func(out rel.Tuple) {
-				if e.matRounds {
-					r := make(rel.Tuple, 0, tagW+w)
-					next.Insert(append(append(r, tag...), out...))
-					return
-				}
 				row = append(append(row[:0], tag...), out...)
 				if e.noDedup || !seen1.Contains(row) {
 					next.Insert(row)
@@ -258,13 +183,8 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 					run.Apply(src, vals, sink)
 				}
 			}
-			if e.matRounds && !e.noDedup {
-				carry1 = next.Difference(seen1)
-				e.observeIntermediate(next.Len()+carry1.Len(), tagW+w)
-			} else {
-				carry1 = next
-				e.observeIntermediate(carry1.Len(), tagW+w)
-			}
+			carry1 = next
+			e.observeIntermediate(carry1.Len(), tagW+w)
 			added := seen1.InsertAll(carry1)
 			e.col.AddInserted(added)
 			e.bud.AddDerived(added, tagW+w)
@@ -287,8 +207,7 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 
 	// Phase 2 initialization (line 8): carry_2 := t_0 & seen_1. Emissions
 	// stream through a reused row buffer straight into carry_2 (a set, so
-	// duplicates collapse on insert); the ablation allocates per emission
-	// as the old pipeline did.
+	// duplicates collapse on insert).
 	carry2 := rel.New(tagW + len(outCols))
 	initRow := make(rel.Tuple, 0, tagW+len(outCols))
 	for _, ex := range e.a.Exit {
@@ -300,11 +219,6 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 		run := tr.NewRunner()
 		var tag rel.Tuple
 		sink := func(out rel.Tuple) {
-			if e.matRounds {
-				r := make(rel.Tuple, 0, tagW+len(outCols))
-				carry2.Insert(append(append(r, tag...), out...))
-				return
-			}
 			carry2.Insert(append(append(initRow[:0], tag...), out...))
 		}
 		for _, t := range seen1.Rows() {
@@ -332,96 +246,6 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 		}
 	}
 	return seen2, outCols, nil
-}
-
-// partial evaluates a partial selection as the union of full selections of
-// Lemma 2.1: the t_part branch (no driver-class applications; the bound
-// columns act as persistent) plus, for every rule of the driver class, a
-// t_full branch seeded through that rule's nonrecursive conjunction, with
-// the unbound driver-class head columns carried as tags.
-func (e *evaluator) partial(q ast.Atom, sel Selection, sink *eval.AnswerSink) error {
-	intern := e.db.Syms.Intern
-	src := conj.DBSource(e.db.Relation)
-	cls := &e.a.Classes[sel.Driver]
-	isConst := make(map[int]bool)
-	for _, p := range sel.ConstPos {
-		isConst[p] = true
-	}
-	var boundCols, freeCols []int
-	for _, p := range cls.Cols {
-		if isConst[p] {
-			boundCols = append(boundCols, p)
-		} else {
-			freeCols = append(freeCols, p)
-		}
-	}
-
-	// Branch A (t_part): zero applications of the driver class.
-	seedsA := rel.New(len(boundCols))
-	seedsA.Insert(constsAt(q, boundCols, intern))
-	resA, outColsA, err := e.run(boundCols, -1, sel.Driver, seedsA, 0)
-	if err != nil {
-		return err
-	}
-	e.deliver(resA, 0, nil, boundCols, constsAt(q, boundCols, intern), outColsA, sink)
-
-	// Branch B (t_full): at least one application of the driver class.
-	// The first application is made here, through each rule's a_1j, with
-	// the bound head columns fixed to the query constants; the resulting
-	// unbound head-column values become the tag, and the body-column
-	// values seed carry_1.
-	tagW := len(freeCols)
-	seedsB := rel.New(tagW + len(cls.Cols))
-	boundHead := headVarsAt(boundCols)
-	freeHead := headVarsAt(freeCols)
-	consts := constsAt(q, boundCols, intern)
-	for _, r := range cls.Rules {
-		outVars := append(append([]string{}, freeHead...), r.BodyVars...)
-		tr, err := conj.NewTransition(r.Conj, boundHead, outVars, intern)
-		if err != nil {
-			return fmt.Errorf("core: rule %s: %w", r.Rule, err)
-		}
-		tr.SetTick(e.bud.TickFunc())
-		tr.Apply(src, consts, func(out rel.Tuple) {
-			seedsB.Insert(out)
-		})
-	}
-	resB, outColsB, err := e.run(cls.Cols, sel.Driver, sel.Driver, seedsB, tagW)
-	if err != nil {
-		return err
-	}
-	// Driver values: constants at the bound positions; the free positions
-	// are placeholders overwritten by the tag in deliver.
-	driverVals := make(rel.Tuple, len(cls.Cols))
-	for i, p := range cls.Cols {
-		if isConst[p] {
-			driverVals[i] = intern(q.Args[p].Name)
-		}
-	}
-	e.deliver(resB, tagW, freeCols, cls.Cols, driverVals, outColsB, sink)
-	return nil
-}
-
-// deliver assembles full-arity tuples from a run's result and feeds them to
-// the answer sink. Result rows are tag columns (values for tagCols)
-// followed by output columns (values for outCols); driverCols take the
-// fixed driverVals. For partial selections driverVals holds interned query
-// constants at the bound positions and garbage at free positions — those
-// are overwritten by the tag.
-func (e *evaluator) deliver(res *rel.Relation, tagW int, tagCols []int, driverCols []int, driverVals rel.Tuple, outCols []int, sink *eval.AnswerSink) {
-	full := make(rel.Tuple, e.a.Arity)
-	for _, t := range res.Rows() {
-		for i, p := range driverCols {
-			full[p] = driverVals[i]
-		}
-		for i := 0; i < tagW; i++ {
-			full[tagCols[i]] = t[i]
-		}
-		for i, p := range outCols {
-			full[p] = t[tagW+i]
-		}
-		sink.Add(full)
-	}
 }
 
 // MaterializeSupport evaluates the IDB predicates that pred's definition

@@ -216,11 +216,6 @@ func (e *evaluator) classClosure(pc *phase2class, seeds *rel.Relation, tagW int,
 		next := rel.New(1 + k)
 		var tag rel.Tuple
 		sink := func(out rel.Tuple) {
-			if e.matRounds {
-				r := make(rel.Tuple, 0, 1+k)
-				next.Insert(append(append(r, tag...), out...))
-				return
-			}
 			row = append(append(row[:0], tag...), out...)
 			if !seen.Contains(row) {
 				next.Insert(row)
@@ -232,13 +227,8 @@ func (e *evaluator) classClosure(pc *phase2class, seeds *rel.Relation, tagW int,
 				run.Apply(src, t[1:], sink)
 			}
 		}
-		if e.matRounds {
-			carry = next.Difference(seen)
-			e.observeIntermediate(next.Len()+carry.Len(), 1+k)
-		} else {
-			carry = next
-			e.observeIntermediate(carry.Len(), 1+k)
-		}
+		carry = next
+		e.observeIntermediate(carry.Len(), 1+k)
 		added := seen.InsertAll(carry)
 		e.col.AddInserted(added)
 		e.bud.AddDerived(added, 1+k)
@@ -340,17 +330,8 @@ func (e *evaluator) runPhase2Loop(p2 []phase2class, carry2, seen2 *rel.Relation,
 		var pc *phase2class
 		// Streaming sink: overlay the class's output columns onto the
 		// carried row in the reused buffer; only tuples the seen set does
-		// not already hold materialize. The ablation clones per emission
-		// like the old loop.
+		// not already hold materialize.
 		sink := func(out rel.Tuple) {
-			if e.matRounds {
-				r := base.Clone()
-				for k, j := range pc.colIdx {
-					r[tagW+j] = out[k]
-				}
-				next.Insert(r)
-				return
-			}
 			row = append(row[:0], base...)
 			for k, j := range pc.colIdx {
 				row[tagW+j] = out[k]
@@ -373,13 +354,8 @@ func (e *evaluator) runPhase2Loop(p2 []phase2class, carry2, seen2 *rel.Relation,
 				}
 			}
 		}
-		if e.matRounds && !e.noDedup {
-			carry2 = next.Difference(seen2)
-			e.observeIntermediate(next.Len()+carry2.Len(), tagW+outW)
-		} else {
-			carry2 = next
-			e.observeIntermediate(carry2.Len(), tagW+outW)
-		}
+		carry2 = next
+		e.observeIntermediate(carry2.Len(), tagW+outW)
 		added := seen2.InsertAll(carry2)
 		e.col.AddInserted(added)
 		e.bud.AddDerived(added, tagW+outW)

@@ -46,14 +46,6 @@ type Options struct {
 	// misjudges); negative removes the gate entirely (tests use this to
 	// force the parallel path on tiny programs).
 	ParallelThreshold int
-	// MaterializeRounds restores the pre-streaming round pipeline as an
-	// ablation: every rule emission is materialized into an intermediate
-	// round relation and the delta is computed by differencing against the
-	// totals afterwards, instead of streaming emissions through a
-	// RoundSink that materializes new tuples only. The answer is
-	// identical; sepbench -stream-bench uses this to measure what
-	// streaming buys.
-	MaterializeRounds bool
 }
 
 type compiledRule struct {
@@ -172,7 +164,7 @@ func runStratum(rules []ast.Rule, inStratum map[string]bool, view *database.Data
 
 	startRound := func() {
 		for p := range inStratum {
-			sinks[p] = NewRoundSink(total[p], opts.MaterializeRounds)
+			sinks[p] = NewRoundSink(total[p])
 		}
 	}
 
@@ -190,7 +182,7 @@ func runStratum(rules []ast.Rule, inStratum map[string]bool, view *database.Data
 			opts.Collector.AddInserted(added)
 			opts.Budget.AddDerived(added, total[p].Arity())
 			emitted += s.Emitted()
-			interBytes += int64(s.IntermediateLen(d)) * int64(total[p].Arity()) * int64(rel.ValueBytes)
+			interBytes += int64(d.Len()) * int64(total[p].Arity()) * int64(rel.ValueBytes)
 			if added > 0 {
 				changed = true
 			}

@@ -265,7 +265,7 @@ func (m *Materialized) propagate(pred string, delta *rel.Relation) {
 			head := cr.rule.Head.Pred
 			into := sinks[head]
 			if into == nil {
-				into = NewRoundSink(m.total[head], false)
+				into = NewRoundSink(m.total[head])
 				sinks[head] = into
 			}
 			occAtom := oc.atom
@@ -284,7 +284,7 @@ func (m *Materialized) propagate(pred string, delta *rel.Relation) {
 		var interBytes int64
 		for head, sink := range sinks {
 			d := sink.Delta()
-			interBytes += int64(sink.IntermediateLen(d)) * int64(m.total[head].Arity()) * int64(rel.ValueBytes)
+			interBytes += int64(d.Len()) * int64(m.total[head].Arity()) * int64(rel.ValueBytes)
 			if d.Empty() {
 				continue
 			}

@@ -68,66 +68,36 @@ func (s *AnswerSink) Result() *rel.Relation { return s.out }
 // round's delta. The total is frozen for the duration of a round (it is
 // only extended at the round boundary, by folding the delta in), so the
 // membership check is exact and the streamed delta is byte-for-byte the
-// relation the old materialize-then-difference pipeline produced, in the
+// relation a materialize-then-difference pipeline would produce, in the
 // same insertion order — without ever holding the round's full emission
 // multiset, whose duplicates dominate peak memory on dense inputs.
-//
-// The materialize flag (ablation, driven by Options.MaterializeRounds and
-// sepbench -stream-bench) restores the old pipeline: every emission is
-// inserted into an intermediate relation and the delta is computed by
-// differencing afterwards.
 type RoundSink struct {
 	total   *rel.Relation
 	next    *rel.Relation
-	all     *rel.Relation // materializing ablation: the round's raw output
 	emitted int
 }
 
 // NewRoundSink starts a round's sink over the stratum total for one
 // predicate. The caller must not mutate total until Delta has been folded
 // in.
-func NewRoundSink(total *rel.Relation, materialize bool) *RoundSink {
-	s := &RoundSink{total: total, next: rel.New(total.Arity())}
-	if materialize {
-		s.all = rel.New(total.Arity())
-	}
-	return s
+func NewRoundSink(total *rel.Relation) *RoundSink {
+	return &RoundSink{total: total, next: rel.New(total.Arity())}
 }
 
 // Add streams one emitted head tuple into the round. The tuple may be a
 // reused buffer; it is cloned if and when it is materialized.
 func (s *RoundSink) Add(t rel.Tuple) {
 	s.emitted++
-	if s.all != nil {
-		s.all.Insert(t)
-		return
-	}
 	if !s.total.Contains(t) {
 		s.next.Insert(t)
 	}
 }
 
-// Delta returns the round's delta: the new tuples in emission order. Call
-// it once, at the round boundary.
-func (s *RoundSink) Delta() *rel.Relation {
-	if s.all != nil {
-		return s.all.Difference(s.total)
-	}
-	return s.next
-}
+// Delta returns the round's delta: the new tuples in emission order, the
+// only tuples the sink materialized outside the totals. Call it once, at
+// the round boundary.
+func (s *RoundSink) Delta() *rel.Relation { return s.next }
 
 // Emitted reports the raw number of head tuples streamed into the sink —
 // the round's join fan-out, which feeds the parallel profit gate.
 func (s *RoundSink) Emitted() int { return s.emitted }
-
-// IntermediateLen reports how many tuples the sink materialized outside
-// the totals: the streamed delta alone, or, under the ablation, the raw
-// round output on top of it. It feeds the peak-intermediate-bytes metric;
-// call it after Delta.
-func (s *RoundSink) IntermediateLen(delta *rel.Relation) int {
-	n := delta.Len()
-	if s.all != nil {
-		n += s.all.Len()
-	}
-	return n
-}

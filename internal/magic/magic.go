@@ -22,7 +22,6 @@ import (
 	"sepdl/internal/ast"
 	"sepdl/internal/budget"
 	"sepdl/internal/database"
-	"sepdl/internal/eval"
 	"sepdl/internal/rel"
 	"sepdl/internal/stats"
 )
@@ -164,11 +163,10 @@ type Options struct {
 	// Budget, when non-nil, governs the bottom-up evaluation of the
 	// rewritten program at round and join-inner-loop granularity.
 	Budget *budget.Budget
-	// Parallelism, ParallelThreshold, and MaterializeRounds forward to the
-	// semi-naive fixpoint over the rewritten program (eval.Options).
+	// Parallelism and ParallelThreshold forward to the semi-naive fixpoint
+	// over the rewritten program (eval.Options).
 	Parallelism       int
 	ParallelThreshold int
-	MaterializeRounds bool
 	// Template, when non-nil, supplies the precompiled rewrite for the
 	// query's form (from a plan cache): Answer binds the query's constants
 	// into it instead of rewriting, and Supplementary is ignored in favor
@@ -178,34 +176,13 @@ type Options struct {
 
 // Answer evaluates query q over prog and db with the Generalized Magic Sets
 // strategy: rewrite, evaluate the rewritten program semi-naively, and
-// project the answer onto q's distinct variables.
+// project the answer onto q's distinct variables. It is AnswerBatch for a
+// batch of one, so the rewrite comes from opts.Template when supplied and
+// from NewTemplate otherwise.
 func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts Options) (*rel.Relation, error) {
-	if opts.Template != nil {
-		out, err := AnswerBatch(prog, db, []ast.Atom{q}, opts)
-		if err != nil {
-			return nil, err
-		}
-		return out[0], nil
-	}
-	rewrite := Rewrite
-	if opts.Supplementary {
-		rewrite = RewriteSupplementary
-	}
-	rw, rq, err := rewrite(prog, q)
+	out, err := AnswerBatch(prog, db, []ast.Atom{q}, opts)
 	if err != nil {
 		return nil, err
 	}
-	view, err := eval.Run(rw, db, eval.Options{
-		Collector:         opts.Collector,
-		MaxIterations:     opts.MaxIterations,
-		Naive:             opts.Naive,
-		Budget:            opts.Budget,
-		Parallelism:       opts.Parallelism,
-		ParallelThreshold: opts.ParallelThreshold,
-		MaterializeRounds: opts.MaterializeRounds,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return eval.Answer(view, rq)
+	return out[0], nil
 }

@@ -127,7 +127,6 @@ func AnswerBatch(prog *ast.Program, db *database.Database, qs []ast.Atom, opts O
 		Budget:            opts.Budget,
 		Parallelism:       opts.Parallelism,
 		ParallelThreshold: opts.ParallelThreshold,
-		MaterializeRounds: opts.MaterializeRounds,
 	})
 	if err != nil {
 		return nil, err

@@ -25,10 +25,10 @@ func TestDrainMidLoad(t *testing.T) {
 
 	const workers = 8
 	var (
-		wg        sync.WaitGroup
-		stop      atomic.Bool
-		ok200     atomic.Int64
-		shed503   atomic.Int64
+		wg         sync.WaitGroup
+		stop       atomic.Bool
+		ok200      atomic.Int64
+		shed503    atomic.Int64
 		unexpected atomic.Int64
 	)
 	for i := 0; i < workers; i++ {

@@ -33,10 +33,9 @@ type Collector struct {
 	ClosureMisses int
 	// PeakIntermediateBytes is the largest transient materialization any
 	// single fixpoint round (or carry-loop step) held outside the growing
-	// totals — the streamed delta, plus, under the materializing ablation,
-	// the round's raw emission relation. It is kept separate from Sizes so
-	// the per-relation peak-size accounting the paper's §4 claims are
-	// checked against is unperturbed.
+	// totals — the streamed delta. It is kept separate from Sizes so the
+	// per-relation peak-size accounting the paper's §4 claims are checked
+	// against is unperturbed.
 	PeakIntermediateBytes int64
 }
 

@@ -3,18 +3,9 @@ package sepdl
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"sepdl/internal/ast"
-	"sepdl/internal/budget"
-	"sepdl/internal/core"
-	"sepdl/internal/database"
-	"sepdl/internal/eval"
-	"sepdl/internal/magic"
 	"sepdl/internal/parser"
-	"sepdl/internal/plancache"
-	"sepdl/internal/rel"
-	"sepdl/internal/stats"
 )
 
 // Prepared is a query form compiled once and executed many times with
@@ -84,7 +75,7 @@ func (p *Prepared) Run(ctx context.Context, consts ...string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.e.queryAtom(ctx, q, q.String(), p.cfg)
+	return p.e.queryOne(ctx, q, q.String(), p.cfg)
 }
 
 // RunBatch evaluates one constant vector per element of constSets in a
@@ -99,7 +90,7 @@ func (p *Prepared) RunBatch(ctx context.Context, constSets ...[]string) ([]*Resu
 		}
 		qs[i] = q
 	}
-	return p.e.queryBatch(ctx, qs, p.cfg)
+	return p.e.queryBatch(ctx, qs, "", p.cfg)
 }
 
 // QueryBatch evaluates many queries of one form — same predicate,
@@ -123,172 +114,5 @@ func (e *Engine) QueryBatch(ctx context.Context, queries []string, opts ...Query
 		}
 		qs[i] = q
 	}
-	return e.queryBatch(ctx, qs, cfg)
-}
-
-// queryBatch is the shared batched-evaluation path under QueryBatch and
-// Prepared.RunBatch: one admission slot, one snapshot, one budget, one
-// plan for the whole batch.
-func (e *Engine) queryBatch(ctx context.Context, qs []ast.Atom, cfg queryConfig) ([]*Result, error) {
-	if len(qs) == 0 {
-		return nil, nil
-	}
-	for _, q := range qs[1:] {
-		if q.Pred != qs[0].Pred || formMask(q) != formMask(qs[0]) {
-			return nil, fmt.Errorf("sepdl: batch mixes query forms: %s vs %s", q, qs[0])
-		}
-	}
-	if cfg.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
-		defer cancel()
-	}
-	release, err := e.admit(ctx)
-	if err != nil {
-		e.counters.admitRejected(err)
-		return nil, err
-	}
-	defer release()
-	e.counters.queries.Add(1)
-	e.counters.batches.Add(1)
-	e.counters.batchQueries.Add(uint64(len(qs)))
-	e.counters.inFlight.Add(1)
-	defer e.counters.inFlight.Add(-1)
-	st, db, dbRev := e.snapshot()
-
-	bud := cfg.tracker(ctx)
-	if err := bud.Err(); err != nil {
-		return nil, e.counters.evalFailed(err)
-	}
-	c := stats.New()
-	start := time.Now()
-
-	results := func(strategy, fellFrom Strategy, hit bool, anss []*rel.Relation, col *stats.Collector) []*Result {
-		out := make([]*Result, len(qs))
-		for i := range qs {
-			stt := Stats{Strategy: strategy, FallbackFrom: fellFrom, PlanCacheHit: hit,
-				BatchSize: len(qs), Duration: time.Since(start)}
-			out[i] = result(db, qs[i], anss[i], stt, col)
-		}
-		return out
-	}
-
-	if !st.prog.IDBPreds()[qs[0].Pred] {
-		anss := make([]*rel.Relation, len(qs))
-		for i, q := range qs {
-			ans, err := eval.Answer(db, q)
-			if err != nil {
-				return nil, e.counters.evalFailed(err)
-			}
-			anss[i] = ans
-		}
-		return results(cfg.strategy, "", false, anss, c), nil
-	}
-
-	pl, hit := e.planFor(st, qs[0], cfg)
-	e.counters.planLookup(hit)
-	strategy := pl.strategy
-	bud.SetStrategy(string(strategy))
-	if e.closures != nil {
-		cfg.closures = e.closures
-		cfg.scope = plancache.Scope{ProgRev: st.rev, DBRev: dbRev}
-	}
-
-	anss, err := runStrategyBatch(st, db, qs, pl, cfg, c, bud)
-	fellFrom := Strategy("")
-	if err != nil && cfg.fallback && fallbackEligible(strategy, err) {
-		fbBud := cfg.tracker(ctx)
-		fbBud.SetStrategy(string(SemiNaive))
-		fbCol := stats.New()
-		fbAnss, fbErr := runStrategyBatch(st, db, qs, &plan{strategy: SemiNaive}, cfg, fbCol, fbBud)
-		if fbErr == nil {
-			fellFrom, strategy, anss, err, c = strategy, SemiNaive, fbAnss, nil, fbCol
-		} else {
-			err = fmt.Errorf("%w (semi-naive fallback also failed: %v)", err, fbErr)
-		}
-	}
-	if err != nil {
-		return nil, e.counters.evalFailed(err)
-	}
-	out := results(strategy, fellFrom, hit, anss, c)
-	if len(out) > 0 {
-		// Every batch element reports the whole batch's work; record the
-		// shared evaluation's outcome once.
-		e.counters.evalOK(out[0])
-	}
-	return out, nil
-}
-
-// runStrategyBatch dispatches one batched evaluation attempt, with the
-// same last-resort recovery as runStrategy. Strategies with a multi-seed
-// form run one shared fixpoint; the rest loop seed-by-seed over the shared
-// snapshot and budget.
-func runStrategyBatch(st *progState, db *database.Database, qs []ast.Atom, pl *plan, cfg queryConfig, c *stats.Collector, bud *budget.Budget) (anss []*rel.Relation, err error) {
-	strategy := pl.strategy
-	defer func() {
-		if r := recover(); r != nil {
-			anss = nil
-			if aerr, ok := budget.AsAbort(r); ok {
-				err = aerr
-				return
-			}
-			err = fmt.Errorf("%w batch-evaluating %q (%d seeds) with strategy %s: %v", ErrInternal, qs[0].Pred, len(qs), strategy, r)
-		}
-	}()
-	if testHookEval != nil {
-		testHookEval()
-	}
-
-	switch strategy {
-	case Separable:
-		return core.AnswerBatch(st.prog, db, qs, core.EvalOptions{
-			Collector:         c,
-			Analysis:          pl.analysis,
-			AllowDisconnected: cfg.allowDisconnected,
-			Budget:            bud,
-			Parallelism:       cfg.parallelism,
-			ParallelThreshold: cfg.parThreshold,
-			Closures:          cfg.closures,
-			CacheScope:        cfg.scope,
-		})
-	case MagicSets, MagicSetsSup:
-		return magic.AnswerBatch(st.prog, db, qs, magic.Options{
-			Collector:         c,
-			MaxIterations:     cfg.maxIterations,
-			Supplementary:     strategy == MagicSetsSup,
-			Budget:            bud,
-			Parallelism:       cfg.parallelism,
-			ParallelThreshold: cfg.parThreshold,
-			Template:          pl.template,
-		})
-	case SemiNaive, Naive:
-		view, err := eval.Run(st.prog, db, eval.Options{
-			Collector:         c,
-			Naive:             strategy == Naive,
-			MaxIterations:     cfg.maxIterations,
-			Budget:            bud,
-			Parallelism:       cfg.parallelism,
-			ParallelThreshold: cfg.parThreshold,
-		})
-		if err != nil {
-			return nil, err
-		}
-		anss = make([]*rel.Relation, len(qs))
-		for i, q := range qs {
-			if anss[i], err = eval.Answer(view, q); err != nil {
-				return nil, err
-			}
-		}
-		return anss, nil
-	default:
-		anss = make([]*rel.Relation, len(qs))
-		for i, q := range qs {
-			ans, err := runStrategy(st, db, q, q.String(), pl, cfg, c, bud)
-			if err != nil {
-				return nil, err
-			}
-			anss[i] = ans
-		}
-		return anss, nil
-	}
+	return e.queryBatch(ctx, qs, "", cfg)
 }
