@@ -38,13 +38,14 @@ build:
 test:
 	go test -race ./...
 
+# bench reproduces the paper's §4 relation-size tables, then runs each
+# perfbench workload (the benchmark BENCHMARK.json declares) once; every
+# workload's last output line is its JSON result.
 bench:
 	go run ./cmd/sepbench -quick
-	go run ./cmd/sepbench -parallel-bench -parallelism 4 -json BENCH_parallel.json
-	go run ./cmd/sepbench -cache-bench -json BENCH_plancache.json
-	go run ./cmd/sepbench -serve-bench -json BENCH_serve.json
-	go run ./cmd/sepbench -wal-bench -json BENCH_wal.json
-	go run ./cmd/sepbench -segment-bench -classes 3 -json BENCH_segments.json
+	bash perfbench/run.sh --workload separable-select --seed 1 --seconds 20 --trace 0
+	bash perfbench/run.sh --workload magic-fixpoint --seed 1 --seconds 20 --trace 0
+	bash perfbench/run.sh --workload serve-rw --seed 1 --seconds 20 --trace 0
 
 # serve-smoke boots a real sepdld process, answers a query and a prepared
 # batch over HTTP, SIGTERMs it mid-load, and asserts 503 + Retry-After

@@ -2,6 +2,7 @@
 // experiment in the per-experiment index of DESIGN.md, it builds the
 // paper's database, runs each evaluation algorithm, and prints the sizes of
 // the relations constructed (Definition 4.2) alongside wall-clock times.
+// Timing the engine itself is perfbench's job (see perfbench/run.sh).
 //
 // Usage:
 //
@@ -9,6 +10,7 @@
 //	sepbench -exp e2         # one experiment
 //	sepbench -quick          # reduced sweeps (the sizes the tests check)
 //	sepbench -list           # list experiments and claims
+//	sepbench -format csv     # CSV instead of aligned tables
 package main
 
 import (
@@ -16,9 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"strconv"
-	"strings"
 
 	"sepdl/internal/bench"
 )
@@ -31,53 +30,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sepbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp        = fs.String("exp", "all", "experiment id (e1..e9) or \"all\"")
-		quick      = fs.Bool("quick", false, "run reduced parameter sweeps")
-		list       = fs.Bool("list", false, "list experiments and exit")
-		format     = fs.String("format", "table", "output format: table|csv")
-		parBench   = fs.Bool("parallel-bench", false, "run the parallel-vs-sequential regression benchmark instead of the experiments")
-		cacheBench = fs.Bool("cache-bench", false, "run the plan/closure-cache regression benchmark (cold vs warm vs batched) instead of the experiments")
-		serveBench = fs.Bool("serve-bench", false, "run the sepdld serving-layer load benchmark (cold vs warm vs overloaded over HTTP) instead of the experiments")
-		walBench   = fs.Bool("wal-bench", false, "run the durability benchmark (in-RAM vs WAL fsync modes, plus recovery cost) instead of the experiments")
-		segBench   = fs.Bool("segment-bench", false, "run the beyond-RAM storage benchmark (in-RAM vs disk-cold vs disk-warm over segment files) instead of the experiments")
-		jsonPath   = fs.String("json", "", "with -parallel-bench, -cache-bench, -serve-bench, -wal-bench, or -segment-bench: also write the report as JSON to this path")
-		sizes      = fs.String("sizes", "16,32,48", "with -parallel-bench, -cache-bench, or -segment-bench: comma-separated problem sizes")
-		classes    = fs.Int("classes", 4, "with -parallel-bench or -segment-bench: equivalence classes in the separable query family")
-		par        = fs.Int("parallelism", 0, "with -parallel-bench: worker count for the parallel runs (0 = GOMAXPROCS)")
-		seeds      = fs.Int("seeds", 8, "with -cache-bench or -serve-bench: distinct query constants per point")
-		size       = fs.Int("size", 400, "with -serve-bench: chain length of the served database")
-		walFacts   = fs.Int("wal-facts", 2000, "with -wal-bench: facts ingested per storage mode")
-		memtable   = fs.Int64("memtable-bytes", 8<<10, "with -segment-bench: in-RAM overlay budget that triggers flushes during ingest")
-		walCkpt    = fs.Int64("wal-ckpt-bytes", 16<<10, "with -wal-bench: checkpoint threshold for the wal-ckpt mode")
-		requests   = fs.Int("requests", 200, "with -serve-bench: requests per regime")
-		clients    = fs.Int("clients", 4, "with -serve-bench: concurrent clients in the cold and warm regimes")
+		exp    = fs.String("exp", "all", "experiment id (e1..e9) or \"all\"")
+		quick  = fs.Bool("quick", false, "run reduced parameter sweeps")
+		list   = fs.Bool("list", false, "list experiments and exit")
+		format = fs.String("format", "table", "output format: table|csv")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	if *parBench {
-		return runParallelBench(*sizes, *classes, *par, *jsonPath, stdout, stderr)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "sepbench: unexpected argument %q\n", fs.Arg(0))
+		return 2
 	}
-	if *segBench {
-		segSizes := *sizes
-		if segSizes == "16,32,48" {
-			segSizes = "48,96"
-		}
-		return runSegmentBench(segSizes, *classes, *memtable, *jsonPath, stdout, stderr)
-	}
-	if *serveBench {
-		return runServeBench(*size, *seeds, *requests, *clients, *jsonPath, stdout, stderr)
-	}
-	if *walBench {
-		return runWALBench(*walFacts, *walCkpt, *jsonPath, stdout, stderr)
-	}
-	if *cacheBench {
-		cacheSizes := *sizes
-		if cacheSizes == "16,32,48" {
-			cacheSizes = "400,800"
-		}
-		return runCacheBench(cacheSizes, *seeds, *jsonPath, stdout, stderr)
+	if *format != "table" && *format != "csv" {
+		fmt.Fprintf(stderr, "sepbench: unknown format %q (want table or csv)\n", *format)
+		return 2
 	}
 
 	if *list {
@@ -111,229 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout)
 		}
 		fmt.Fprint(stdout, bench.FormatExperiment(e, e.Run(*quick)))
-	}
-	return 0
-}
-
-// parseSizes parses a comma-separated size list.
-func parseSizes(sizeList string, stderr io.Writer) ([]int, bool) {
-	var sizes []int
-	for _, s := range strings.Split(sizeList, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 2 {
-			fmt.Fprintf(stderr, "sepbench: bad -sizes entry %q\n", s)
-			return nil, false
-		}
-		sizes = append(sizes, n)
-	}
-	return sizes, true
-}
-
-// runCacheBench runs the prepared-query cache harness and renders a table
-// (plus optional JSON artifact, the BENCH_plancache.json that make bench
-// commits to the repository root). The exit code is 1 when any point's
-// cached or batched answers diverge from the uncached baseline, so CI can
-// use it as an equivalence smoke test; speedups are reported but never
-// fail the run (timing is environment-dependent).
-func runCacheBench(sizeList string, seeds int, jsonPath string, stdout, stderr io.Writer) int {
-	sizes, ok := parseSizes(sizeList, stderr)
-	if !ok {
-		return 2
-	}
-	if seeds < 2 {
-		fmt.Fprintf(stderr, "sepbench: -seeds must be at least 2, got %d\n", seeds)
-		return 2
-	}
-	rep := bench.RunCache(sizes, seeds)
-	fmt.Fprintf(stdout, "cache benchmark: GOMAXPROCS=%d cpus=%d seeds=%d\n",
-		rep.GOMAXPROCS, rep.NumCPU, seeds)
-	fmt.Fprintf(stdout, "%-10s %6s %9s %12s %12s %8s %12s %12s %8s\n",
-		"family", "n", "answers", "cold", "warm", "warm-x", "uncached", "batch", "batch-x")
-	for _, p := range rep.Points {
-		if p.Err != "" {
-			fmt.Fprintf(stdout, "%-10s %6d  ERROR: %s\n", p.Family, p.Size, p.Err)
-			continue
-		}
-		fmt.Fprintf(stdout, "%-10s %6d %9d %12d %12d %7.2fx %12d %12d %7.2fx\n",
-			p.Family, p.Size, p.Answers, p.ColdNs, p.WarmNs, p.WarmSpeedup,
-			p.UncachedNs, p.BatchNs, p.BatchSpeedup)
-	}
-	if jsonPath != "" {
-		out, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintf(stderr, "sepbench: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(jsonPath, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "sepbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", jsonPath)
-	}
-	if rep.Failed() {
-		fmt.Fprintln(stderr, "sepbench: cached or batched answers diverged from the uncached baseline")
-		return 1
-	}
-	return 0
-}
-
-// runServeBench runs the serving-layer load harness and renders a table
-// (plus optional JSON artifact, the BENCH_serve.json that make bench
-// commits to the repository root). The exit code is 1 when any regime
-// errored or lost requests — every request must eventually succeed, shed
-// requests by retrying with the server's backoff hint; latency numbers
-// are reported but never fail the run.
-func runServeBench(size, seeds, requests, clients int, jsonPath string, stdout, stderr io.Writer) int {
-	if size < 4 || seeds < 1 || requests < 1 || clients < 1 {
-		fmt.Fprintln(stderr, "sepbench: -size, -seeds, -requests, and -clients must be positive (size at least 4)")
-		return 2
-	}
-	rep := bench.RunServe(bench.ServeConfig{Size: size, Seeds: seeds, Requests: requests, Clients: clients})
-	fmt.Fprintf(stdout, "serve benchmark: GOMAXPROCS=%d cpus=%d size=%d seeds=%d\n",
-		rep.GOMAXPROCS, rep.NumCPU, rep.Size, rep.Seeds)
-	fmt.Fprintf(stdout, "%-12s %8s %8s %8s %8s %8s %12s %12s\n",
-		"regime", "requests", "clients", "ok", "sheds", "retries", "p50", "p99")
-	for _, p := range rep.Points {
-		if p.Err != "" {
-			fmt.Fprintf(stdout, "%-12s %8d  ERROR: %s\n", p.Regime, p.Requests, p.Err)
-			continue
-		}
-		fmt.Fprintf(stdout, "%-12s %8d %8d %8d %8d %8d %12d %12d\n",
-			p.Regime, p.Requests, p.Clients, p.OK, p.Sheds, p.Retries, p.P50Ns, p.P99Ns)
-	}
-	if jsonPath != "" {
-		out, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintf(stderr, "sepbench: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(jsonPath, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "sepbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", jsonPath)
-	}
-	if rep.Failed() {
-		fmt.Fprintln(stderr, "sepbench: serve benchmark lost requests or errored")
-		return 1
-	}
-	return 0
-}
-
-// runWALBench runs the durability harness and renders a table (plus
-// optional JSON artifact, the BENCH_wal.json that make bench commits to
-// the repository root). The exit code is 1 when any mode errored or a
-// recovered store answered the probe query differently from the in-RAM
-// baseline; append latencies and recovery times are reported but never
-// fail the run (timing is environment-dependent).
-func runWALBench(facts int, ckptBytes int64, jsonPath string, stdout, stderr io.Writer) int {
-	if facts < 4 || ckptBytes < 1 {
-		fmt.Fprintln(stderr, "sepbench: -wal-facts must be at least 4 and -wal-ckpt-bytes positive")
-		return 2
-	}
-	rep := bench.RunWAL(bench.WALConfig{Facts: facts, CheckpointBytes: ckptBytes})
-	fmt.Fprintf(stdout, "wal benchmark: GOMAXPROCS=%d cpus=%d facts=%d\n",
-		rep.GOMAXPROCS, rep.NumCPU, rep.Facts)
-	fmt.Fprintf(stdout, "%-12s %10s %10s %12s %8s %6s %10s %12s %10s\n",
-		"mode", "app-p50", "app-p99", "ingest", "syncs", "ckpts", "log-bytes", "recovery", "replayed")
-	for _, p := range rep.Points {
-		if p.Err != "" {
-			fmt.Fprintf(stdout, "%-12s  ERROR: %s\n", p.Mode, p.Err)
-			continue
-		}
-		fmt.Fprintf(stdout, "%-12s %10d %10d %12d %8d %6d %10d %12d %10d\n",
-			p.Mode, p.AppendP50Ns, p.AppendP99Ns, p.IngestNs, p.Syncs, p.Checkpoints,
-			p.LogBytes, p.RecoveryNs, p.RecoveredRecords)
-	}
-	if jsonPath != "" {
-		out, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintf(stderr, "sepbench: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(jsonPath, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "sepbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", jsonPath)
-	}
-	if rep.Failed() {
-		fmt.Fprintln(stderr, "sepbench: a recovered store diverged from the in-RAM baseline")
-		return 1
-	}
-	return 0
-}
-
-// runParallelBench runs the parallel regression harness and renders a
-// table (plus optional JSON artifact, the BENCH_parallel.json that make
-// bench commits to the repository root).
-func runParallelBench(sizeList string, classes, parallelism int, jsonPath string, stdout, stderr io.Writer) int {
-	sizes, ok := parseSizes(sizeList, stderr)
-	if !ok {
-		return 2
-	}
-	if parallelism < 1 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	rep := bench.RunParallel(sizes, classes, parallelism)
-	fmt.Fprintf(stdout, "parallel benchmark: GOMAXPROCS=%d cpus=%d parallelism=%d\n",
-		rep.GOMAXPROCS, rep.NumCPU, rep.Parallelism)
-	fmt.Fprintf(stdout, "%-10s %6s %9s %12s %12s %12s %8s %9s\n",
-		"family", "n", "answers", "seq", "par", "adaptive", "speedup", "adaptive")
-	failed := false
-	for _, p := range rep.Points {
-		if p.Err != "" {
-			failed = true
-			fmt.Fprintf(stdout, "%-10s %6d  ERROR: %s\n", p.Family, p.Size, p.Err)
-			continue
-		}
-		fmt.Fprintf(stdout, "%-10s %6d %9d %12d %12d %12d %7.2fx %8.2fx\n",
-			p.Family, p.Size, p.Answers, p.SeqNs, p.ParNs, p.AdaptiveNs, p.Speedup, p.SpeedupAdaptive)
-	}
-	if jsonPath != "" {
-		out, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintf(stderr, "sepbench: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(jsonPath, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "sepbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", jsonPath)
-	}
-	if failed {
-		return 1
-	}
-	return 0
-}
-
-// runSegmentBench runs the beyond-RAM storage harness and renders a
-// table (plus optional JSON artifact, the BENCH_segments.json that make
-// bench commits to the repository root). Exit status 1 means a storage
-// mode diverged from the in-RAM oracle — a correctness failure; being
-// slower than the 2x target is reported but does not fail the run.
-func runSegmentBench(sizeList string, classes int, memtable int64, jsonPath string, stdout, stderr io.Writer) int {
-	sizes, ok := parseSizes(sizeList, stderr)
-	if !ok {
-		return 2
-	}
-	rep := bench.RunSegment(bench.SegmentConfig{Sizes: sizes, Classes: classes, MemtableBytes: memtable})
-	fmt.Fprint(stdout, bench.FormatSegment(rep))
-	if jsonPath != "" {
-		out, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintf(stderr, "sepbench: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(jsonPath, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "sepbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", jsonPath)
-	}
-	if rep.Failed() {
-		return 1
 	}
 	return 0
 }

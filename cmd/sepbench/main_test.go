@@ -56,3 +56,27 @@ func TestCSVFormat(t *testing.T) {
 		t.Fatalf("missing counting row:\n%s", out)
 	}
 }
+
+// TestBadInputRejected: an unknown -format or a stray positional argument
+// is a usage error (exit 2 with a message), not a silent table.
+func TestBadInputRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"unknown-format", []string{"-exp", "e5", "-quick", "-format", "json"}, `unknown format "json"`},
+		{"positional-arg", []string{"-quick", "e5"}, `unexpected argument "e5"`},
+		{"positional-after-list", []string{"-list", "extra"}, `unexpected argument "extra"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, errOut, code := runBench(t, tc.args...)
+			if code != 2 || !strings.Contains(errOut, tc.want) {
+				t.Fatalf("exit=%d err=%q, want exit 2 with %q", code, errOut, tc.want)
+			}
+			if out != "" {
+				t.Fatalf("usage error still printed output:\n%s", out)
+			}
+		})
+	}
+}

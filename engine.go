@@ -231,24 +231,21 @@ func WithStrictChecks() EngineOption {
 // the setting, a query's answer set is identical — only evaluation
 // scheduling changes — and resource budgets, deadlines, and cancellation
 // are enforced across all workers through the query's shared tracker.
-// Rounds below WithParallelThreshold's work floor run sequentially, so
+// A profit gate keeps rounds too small to repay the fan-out sequential, so
 // small queries keep their single-threaded cost profile.
 func WithParallelism(n int) EngineOption {
 	return func(e *Engine) { e.parallelism = n }
 }
 
-// WithParallelThreshold sets a static floor on the per-round work size
-// (tuples feeding the round's joins, or the support database size for the
-// Separable product evaluator) at which parallel evaluation engages.
+// WithParallelThreshold overrides the parallel profit gate. A negative n
+// removes the gate entirely, forcing the parallel paths even on tiny
+// programs (useful in tests). Any other n, 0 by default, keeps the
+// adaptive gate: the engine estimates a round's output as its input work
+// times the join fan-out observed on earlier rounds and fans out only past
+// the measured break-even, and the Separable product evaluator fans its
+// classes out only over a non-trivial support database.
 //
-// Deprecated: the default (0) now gates each round adaptively — the
-// engine estimates a round's output as its input work times the join
-// fan-out observed on earlier rounds and fans out only past the measured
-// break-even — which parallelizes emission-heavy rounds a static input
-// floor keeps sequential. The option is kept as a manual override for
-// workloads whose fan-out the estimator misjudges: a positive n restores
-// the old fixed floor, and a negative n removes the gate entirely (useful
-// in tests to force the parallel paths on tiny programs).
+// Deprecated: only a negative n has an effect.
 func WithParallelThreshold(n int) EngineOption {
 	return func(e *Engine) { e.parThreshold = n }
 }

@@ -46,11 +46,10 @@ type EvalOptions struct {
 	// support-predicate fixpoint (eval.Options.Parallelism).
 	Parallelism int
 	// ParallelThreshold overrides the product evaluator's profit gate on
-	// the support database's tuple count. 0 (the default) uses the
-	// adaptive per-class floor (see parallelPhase2); a positive value is
-	// the deprecated static floor, kept as a manual override; negative
-	// removes the gate (tests). Also forwarded to the support-predicate
-	// fixpoint's round gate.
+	// the support database's tuple count. A negative value removes the
+	// gate (tests); any other value, 0 by default, uses the adaptive
+	// per-class floor (see parallelPhase2). Also forwarded to the
+	// support-predicate fixpoint's round gate.
 	ParallelThreshold int
 	// Closures, when non-nil, memoizes the second loop's per-start class
 	// closures across queries: those closures depend only on the program

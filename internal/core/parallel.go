@@ -71,18 +71,14 @@ const adaptiveClosureFloor = 64
 // goroutines. It needs at least two classes to have anything to fan out;
 // the gate on the support database the transitions join against — the
 // best cheap proxy for closure sizes — keeps trivial inputs sequential.
-// ParallelThreshold 0 (the default) applies the adaptive floor; a
-// positive value is the deprecated static override; negative forces
-// fan-out (tests).
+// A negative ParallelThreshold forces fan-out (tests); any other value
+// applies the adaptive floor.
 func (e *evaluator) parallelPhase2(nClasses int) bool {
 	if e.par <= 1 || e.noDedup || nClasses < 2 {
 		return false
 	}
-	switch th := e.parThreshold; {
-	case th < 0:
+	if e.parThreshold < 0 {
 		return true
-	case th > 0:
-		return e.db.NumTuples() >= th
 	}
 	return e.db.NumTuples() >= adaptiveClosureFloor
 }

@@ -37,14 +37,13 @@ type Options struct {
 	// identical either way; only the insertion order of derived tuples
 	// (and hence unsorted Rows order) can differ.
 	Parallelism int
-	// ParallelThreshold overrides the parallel profit gate. 0 (the
-	// default) gates each round adaptively: fan out only when the round's
-	// estimated emissions — input work × the observed join fan-out — reach
+	// ParallelThreshold overrides the parallel profit gate. A negative
+	// value removes the gate entirely (tests use this to force the
+	// parallel path on tiny programs). Any other value, 0 by default,
+	// gates each round adaptively: fan out only when the round's estimated
+	// emissions — input work × the observed join fan-out — reach
 	// DefaultParallelThreshold, the measured break-even for the fan-out
-	// machinery. A positive value is the deprecated static floor on round
-	// input size (kept as a manual override for workloads the estimator
-	// misjudges); negative removes the gate entirely (tests use this to
-	// force the parallel path on tiny programs).
+	// machinery.
 	ParallelThreshold int
 }
 

@@ -51,20 +51,16 @@ func newParRunner(opts Options) *parRunner {
 }
 
 // eligible reports whether a round with the given input work size should
-// fan out. With threshold 0 (the default) the profit gate estimates the
+// fan out. A negative threshold forces fan-out (tests use it to drive the
+// parallel path on tiny programs); otherwise the profit gate estimates the
 // round's emissions as work × the observed fan-out EMA and engages the
-// pool only past break-even. A positive threshold is the deprecated
-// static floor on input size; a negative one forces fan-out (tests use it
-// to drive the parallel path on tiny programs).
+// pool only past break-even.
 func (pr *parRunner) eligible(work int) bool {
 	if pr == nil {
 		return false
 	}
-	switch {
-	case pr.threshold < 0:
+	if pr.threshold < 0 {
 		return true
-	case pr.threshold > 0:
-		return work >= pr.threshold
 	}
 	return float64(work)*pr.fanout >= DefaultParallelThreshold
 }

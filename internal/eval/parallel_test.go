@@ -178,9 +178,8 @@ path(X, Y) :- e(X, Y).
 	}
 	want := seqView.Relation("path").Dump(db.Syms)
 	for _, opts := range []Options{
-		{Parallelism: 4},                         // default threshold
-		{Parallelism: 4, ParallelThreshold: -1},  // always parallel
-		{Parallelism: 2, ParallelThreshold: 100}, // mixed rounds
+		{Parallelism: 4},                        // default threshold
+		{Parallelism: 4, ParallelThreshold: -1}, // always parallel
 	} {
 		parView, err := Run(prog, db, opts)
 		if err != nil {

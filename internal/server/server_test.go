@@ -439,8 +439,8 @@ func TestOverloadMapsTo503(t *testing.T) {
 	cancel()
 	<-done
 
-	// The canceled evaluation must release its slot: a follow-up query
-	// succeeds once the gauge drops.
+	// The canceled evaluation must release its slot, so a client that
+	// honours the hint and retries the shed request gets the full answer.
 	deadline = time.Now().Add(20 * time.Second)
 	for e.Stats().InFlight != 0 {
 		if time.Now().After(deadline) {
@@ -448,8 +448,12 @@ func TestOverloadMapsTo503(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if code, _, v := post(t, ts.URL+"/v1/query", `{"query": "path(v0, Y)?"}`); code != http.StatusOK {
-		t.Fatalf("query after slot release: %d %v", code, v)
+	code, _, v = post(t, ts.URL+"/v1/query", `{"query": "path(v0, Y)?"}`)
+	if code != http.StatusOK {
+		t.Fatalf("retried shed query: %d %v", code, v)
+	}
+	if rows := v["rows"].([]any); len(rows) != 500 {
+		t.Fatalf("retried shed query: %d rows, want 500", len(rows))
 	}
 }
 

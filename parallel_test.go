@@ -192,10 +192,9 @@ buys(X, Y) :- perfectFor(X, Y).
 }
 
 // TestParallelThresholdOverride pins the deprecated WithParallelThreshold
-// semantics against the adaptive default: zero gates each round by
-// estimated emissions, a positive value restores the fixed work floor, a
-// negative value removes the gate entirely. All three must answer
-// identically; the knob only moves where fan-out happens.
+// semantics: zero gates each round by estimated emissions, a negative
+// value removes the gate entirely. Both must answer identically; the knob
+// only moves where fan-out happens.
 func TestParallelThresholdOverride(t *testing.T) {
 	const program = `
 path(X, Y) :- e(X, W) & path(W, Y).
@@ -210,8 +209,6 @@ e(a, b). e(b, c). e(c, d). e(d, e1). e(e1, f). e(a, c). e(b, d).
 		threshold int
 	}{
 		{"adaptive-default", 0},
-		{"static-floor-deprecated", 1}, // every round clears the floor: always parallel
-		{"static-floor-huge", 1 << 20}, // no round clears the floor: never parallel
 		{"gate-disabled", -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"sepdl/internal/database"
+	"sepdl/internal/datagen"
 	"sepdl/internal/parser"
 )
 
@@ -41,6 +43,39 @@ func uncachedEngine(t *testing.T, program, facts string) *Engine {
 	return e
 }
 
+// cacheCorpus is corpus plus sharedClosureEntry. The extra family stays
+// out of corpus itself because TestDispatchGolden pins corpus.
+func cacheCorpus(t *testing.T) []corpusEntry {
+	return append(corpus[:len(corpus):len(corpus)], sharedClosureEntry(t))
+}
+
+// sharedClosureEntry is a two-class separable recursion whose driver
+// class is a short chain and whose other class walks a dense random
+// graph. Every query constant starts at a different chain position, but
+// all of them reach the same exit value, so warm and batched runs share
+// one non-driver closure (31 answers per query).
+func sharedClosureEntry(t *testing.T) corpusEntry {
+	t.Helper()
+	const seeds, n = 4, 32
+	db := database.New()
+	datagen.Chain(db, "e1", "c1v", seeds+1)
+	datagen.RandomGraph(db, "e2", "c2v", n, 4*n, 7)
+	db.AddFact("t0", datagen.Name("c1v", seeds+1), datagen.Name("c2v", 1))
+	var facts strings.Builder
+	if err := db.WriteFacts(&facts); err != nil {
+		t.Fatal(err)
+	}
+	entry := corpusEntry{
+		name:    "multiclass-shared-closure",
+		program: datagen.MultiClassProgram(2).String(),
+		facts:   facts.String(),
+	}
+	for i := 1; i <= seeds; i++ {
+		entry.queries = append(entry.queries, fmt.Sprintf("t(%s, Y)?", datagen.Name("c1v", i)))
+	}
+	return entry
+}
+
 // TestCorpusCachedEquivalence runs every corpus query under every strategy
 // four ways — uncached, cold, warm (same engine, second time), and through
 // a Prepared handle — and demands byte-identical answers.
@@ -49,7 +84,7 @@ func TestCorpusCachedEquivalence(t *testing.T) {
 		Separable, MagicSets, MagicSetsSup, Counting, HenschenNaqvi,
 		AhoUllman, Tabling, SemiNaive, Naive, Auto,
 	}
-	for _, entry := range corpus {
+	for _, entry := range cacheCorpus(t) {
 		entry := entry
 		t.Run(entry.name, func(t *testing.T) {
 			plain := uncachedEngine(t, entry.program, entry.facts)
@@ -110,7 +145,7 @@ func TestCorpusBatchedEquivalence(t *testing.T) {
 		AhoUllman, Tabling, SemiNaive, Naive, Auto,
 	}
 	ctx := context.Background()
-	for _, entry := range corpus {
+	for _, entry := range cacheCorpus(t) {
 		entry := entry
 		t.Run(entry.name, func(t *testing.T) {
 			plain := uncachedEngine(t, entry.program, entry.facts)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sepdl/internal/datagen"
 	"sepdl/internal/leakcheck"
 )
 
@@ -26,17 +27,57 @@ path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 `
 
-// TestColdStorageEquivalence is the tentpole acceptance test: a durable
-// engine whose dataset outgrows a tiny memtable budget — forcing flushes
-// into segment files and rebases onto the cold tier mid-ingest — must
-// answer byte-identically to a fully resident oracle under every
-// strategy, both live and after recovery, with a block cache far smaller
-// than the data.
+// multiClassChainFacts is datagen.MultiClassDB(n, c) as fact tuples: one
+// chain of length n per class and an exit tuple at the chain ends.
+func multiClassChainFacts(n, c int) [][]string {
+	var out [][]string
+	exit := []string{"t0"}
+	for i := 1; i <= c; i++ {
+		pred, prefix := datagen.Name("e", i), datagen.MultiClassPrefix(i)
+		for j := 1; j < n; j++ {
+			out = append(out, []string{pred, datagen.Name(prefix, j), datagen.Name(prefix, j+1)})
+		}
+		exit = append(exit, datagen.Name(prefix, n))
+	}
+	return append(out, exit)
+}
+
+// TestColdStorageEquivalence: a durable engine whose dataset outgrows a
+// tiny memtable budget — forcing flushes into segment files and rebases
+// onto the cold tier mid-ingest — must answer byte-identically to a fully
+// resident oracle under every strategy: live, after recovery with a block
+// cache far smaller than the data, with no block cache at all, and
+// replayed fully into RAM. It covers transitive closure and a two-class
+// separable recursion.
 func TestColdStorageEquivalence(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		program string
+		facts   [][]string
+		queries []string
+	}{
+		{"tc", coldTCProgram, coldGraphFacts(96), []string{
+			"path(n000, Y)?",
+			"path(X, n005)?",
+			"path(n010, n011)?",
+			"edge(n000, Y)?",
+			"path(X, Y)?",
+		}},
+		{"separable", datagen.MultiClassProgram(2).String(), multiClassChainFacts(20, 2), []string{
+			datagen.MultiClassQuery(2),
+			"t(X, c2v1)?",
+			"t(c1v3, c2v5)?",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkColdStorageEquivalence(t, tc.program, tc.facts, tc.queries)
+		})
+	}
+}
+
+func checkColdStorageEquivalence(t *testing.T, program string, facts [][]string, queries []string) {
 	leakcheck.CheckResources(t)
 	dir := t.TempDir()
-	facts := coldGraphFacts(96)
-
 	e, err := Open(dir,
 		WithMemtableBytes(2<<10),   // ~2 KB: a few dozen tuples per flush
 		WithBlockCacheBytes(8<<10), // much smaller than the dataset
@@ -45,11 +86,11 @@ func TestColdStorageEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LoadProgram(coldTCProgram); err != nil {
+	if err := e.LoadProgram(program); err != nil {
 		t.Fatal(err)
 	}
 	oracle := New()
-	if err := oracle.LoadProgram(coldTCProgram); err != nil {
+	if err := oracle.LoadProgram(program); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range facts {
@@ -79,13 +120,6 @@ func TestColdStorageEquivalence(t *testing.T) {
 		t.Fatalf("no segments built: %+v", st)
 	}
 
-	queries := []string{
-		"path(n000, Y)?",
-		"path(X, n005)?",
-		"path(n010, n011)?",
-		"edge(n000, Y)?",
-		"path(X, Y)?",
-	}
 	assertEnginesAgree(t, "live cold vs resident", e, oracle, queries)
 
 	// Cold reads must actually stream from disk: the block cache sees
@@ -104,6 +138,15 @@ func TestColdStorageEquivalence(t *testing.T) {
 	}
 	defer re.Close()
 	assertEnginesAgree(t, "recovered cold vs resident", re, oracle, queries)
+
+	// Disk-cold: with block retention off, every cold read goes to the
+	// segment files.
+	nocache, err := Open(dir, WithBlockCacheBytes(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nocache.Close()
+	assertEnginesAgree(t, "recovered with no block cache vs resident", nocache, oracle, queries)
 
 	// And the explicit in-RAM oracle mode: same directory, cold storage
 	// off, everything replayed into RAM.
